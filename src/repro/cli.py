@@ -589,6 +589,11 @@ def _perf_record(args) -> int:
     from repro import obs
     from repro.obs.perf import BenchRecorder, run_quick_suite
 
+    # fail before the suite runs, not after it
+    if not os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out!r} is not a directory")
+    if not os.access(args.out, os.W_OK):
+        raise ValueError(f"--out {args.out!r} is not writable")
     rec = BenchRecorder(source="quick-suite")
     was_on = obs.metrics_enabled()
     obs.enable_metrics()

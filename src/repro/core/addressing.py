@@ -57,45 +57,60 @@ def batched_slots(
     mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     modules: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized Lemma-4 slot computation (the batched coset lookup).
+    """Vectorized Lemma-4 slot computation in closed form.
 
-    For each (variable matrix A, module u): the slot is the unique k
-    with ``B_u (1, p_k; 0, 1) H0 == A H0``; scan the |H0| = q^3 - q
-    right translates of ``B_u^{-1} A`` for the shape ``(1, p; 0, 1)``
-    with ``p in P_gamma``.  Shared by the O(log N) layer and the
-    enumerated fallback -- the lookup depends only on the graph, not on
-    how the matrices were unranked.
+    For each (variable matrix A, module u) let ``C = B_u^{-1} A`` act as
+    a Moebius map.  Module u stores ``A H0`` at slot k iff
+    ``C = (1, p_k; 0, 1) h`` with ``h in H0 = PGL2(q)``, i.e. iff C maps
+    the ``q + 1`` points of ``P^1(F_q)`` onto ``{inf} ∪ (p_k + F_q)``:
+    conversely ``(1, p_k; 0, 1)^{-1} C`` then fixes ``P^1(F_q)`` setwise,
+    so it is the unique Moebius map through three F_q-points and lies in
+    H0.  So: evaluate C on ``P^1(F_q)`` (for q = 2 on inf, 0, 1 with no
+    multiplication), require exactly one image at infinity, and read
+    the slot of each finite image from ``graph.slot_of_elem``; all q
+    must agree.  The lookup depends only on the graph, not on how the
+    matrices were unranked.
     """
     F = graph.F
     V, copies = modules.shape
     qn1 = F.order + 1
-    s = modules // qn1
-    t = modules % qn1 - 1
-    gs = F.vexp(s.reshape(-1))
-    tflat = t.reshape(-1)
-    diag = tflat < 0
-    # B_u: (gs, 0; 0, 1) when diag else (t, gs; 1, 0)
-    Ba = np.where(diag, gs, tflat)
-    Bb = np.where(diag, np.int64(0), gs)
-    Bc = np.where(diag, np.int64(0), np.int64(1))
-    Bd = np.where(diag, np.int64(1), np.int64(0))
-    # projective inverse = adjugate (char 2): (d, b; c, a)
-    Ia, Ib, Ic, Id = Bd, Bb, Bc, Ba
-    # broadcast A over its copies
-    Aa = np.repeat(mats[0], copies)
-    Ab = np.repeat(mats[1], copies)
-    Ac = np.repeat(mats[2], copies)
-    Ad = np.repeat(mats[3], copies)
-    Ca, Cb, Cc, Cd = vmul(F, (Ia, Ib, Ic, Id), (Aa, Ab, Ac, Ad))
-    slot = np.full(V * copies, -1, dtype=np.int64)
-    for h in graph.H0.elements():
-        Ta, Tb, Tc, Td = vcanon(
-            F, vmul(F, (Ca, Cb, Cc, Cd), tuple(np.int64(x) for x in h))
-        )
-        pidx = graph.p_gamma_inverse[Tb]
-        mask = (Tc == 0) & (Td == 1) & (Ta == 1) & (pidx >= 0)
-        slot = np.where(mask, pidx, slot)
-    if np.any(slot < 0):
+    flat = modules.reshape(-1)
+    gs = F.vexp(flat // qn1)
+    t = flat % qn1 - 1
+    diag = t < 0
+    a, b, c, d = (np.repeat(m, copies) for m in mats)
+    # B_u^{-1} (projective adjugate, char 2): (1, 0; 0, gs) when B_u is
+    # diagonal, else (0, gs; 1, t); C = B_u^{-1} A.
+    gc = F.vmul(gs, c)
+    gd = F.vmul(gs, d)
+    tt = np.where(diag, np.int64(0), t)
+    Ca = np.where(diag, a, gc)
+    Cb = np.where(diag, b, gd)
+    Cc = np.where(diag, gc, F.vadd(a, F.vmul(tt, c)))
+    Cd = np.where(diag, gd, F.vadd(b, F.vmul(tt, d)))
+    # C(inf) = Ca / Cc;  C(x) = (Ca x + Cb) / (Cc x + Cd) for x in F_q
+    nums, dens = [Ca], [Cc]
+    for x in graph.embedding.table[: graph.q].tolist():
+        if x == 0:
+            nums.append(Cb)
+            dens.append(Cd)
+        elif x == 1:
+            nums.append(F.vadd(Ca, Cb))
+            dens.append(F.vadd(Cc, Cd))
+        else:
+            xs = np.int64(x)
+            nums.append(F.vadd(F.vmul(Ca, xs), Cb))
+            dens.append(F.vadd(F.vmul(Cc, xs), Cd))
+    num = np.stack(nums)
+    den = np.stack(dens)
+    finite = den != 0
+    pts = np.full(num.shape, -1, dtype=np.int64)
+    pts[finite] = graph.slot_of_elem[F.vdiv(num[finite], den[finite])]
+    slot = pts.max(axis=0)
+    ok = (np.count_nonzero(~finite, axis=0) == 1) & np.all(
+        (pts == slot) | ~finite, axis=0
+    )
+    if not ok.all():
         raise AssertionError("vectorized slot computation failed")
     return slot.reshape(V, copies)
 

@@ -63,6 +63,9 @@ class MemoryGraph:
     p_gamma:
         int64 array of the ``q^{n-1}`` elements of ``P_gamma`` in slot
         order (this order *is* the physical copy-slot order of Section 4).
+    slot_of_elem:
+        int64 array over all ``q^n`` field elements: ``slot_of_elem[x]``
+        is the ``k`` with ``x in p_k + F_q`` (Lemma-4 slot lookup).
     """
 
     def __init__(self, q: int, n: int):
@@ -116,8 +119,19 @@ class MemoryGraph:
         inv[p] = np.arange(size, dtype=np.int64)
         if np.count_nonzero(inv >= 0) != size:
             raise AssertionError("P_gamma elements are not distinct")
+        # F_{q^n} = F_q (+) P_gamma, so every element splits uniquely as
+        # f + p_k; slot_of_elem maps it to k (the Lemma-4 slot of the
+        # coset p_k + F_q).
+        fq = self.embedding.table[:q]
+        of_elem = np.full(F.order, -1, dtype=np.int64)
+        of_elem[(p[:, None] ^ fq[None, :]).ravel()] = np.repeat(
+            np.arange(size, dtype=np.int64), q
+        )
+        if np.any(of_elem < 0):
+            raise AssertionError("F_q + P_gamma does not cover F_{q^n}")
         self.p_gamma = p
         self.p_gamma_inverse = inv
+        self.slot_of_elem = of_elem
 
     # -- Lemma 1: modules of a variable -----------------------------------
 

@@ -209,6 +209,13 @@ def run_access_protocol(
     """
     from repro.core.engine import resolve_engine, run_phase_scalar
 
+    # the batch wall opens before validation and MPC set-up, so that
+    # work lands in the ledger's bookkeeping leaf, not the residual
+    obs_on = _obs.enabled()
+    led = _obs.ledger() if obs_on else None
+    arb0 = led.seconds["arbitration"] if led is not None else 0.0
+    mem0 = led.seconds["memory"] if led is not None else 0.0
+    t_start = _time.perf_counter() if obs_on else 0.0
     eng = resolve_engine(engine)
     phase_runner = _run_phase if eng == "vector" else run_phase_scalar
     module_ids = np.asarray(module_ids, dtype=np.int64)
@@ -294,11 +301,6 @@ def run_access_protocol(
     if phase_count < 1:
         raise ValueError("n_phases must be >= 1")
     phases: list[PhaseTrace] = []
-    obs_on = _obs.enabled()
-    led = _obs.ledger() if obs_on else None
-    arb0 = led.seconds["arbitration"] if led is not None else 0.0
-    mem0 = led.seconds["memory"] if led is not None else 0.0
-    t_start = _time.perf_counter() if obs_on else 0.0
     with _obs.span(
         "protocol.access", op=op, requests=V, q=q, phases=phase_count,
         engine=eng,

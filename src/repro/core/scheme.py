@@ -263,12 +263,16 @@ class PPScheme:
         selects the batch executor ('vector' | 'scalar', see
         :mod:`repro.core.engine`).
         """
+        led = _obs.ledger() if _obs.enabled() else None
+        if led is not None:
+            t_in = _perf_counter()
         indices = np.asarray(indices, dtype=np.int64)
         if np.unique(indices).size != indices.size:
             raise ValueError("requests must address distinct variables")
-        led = _obs.ledger() if _obs.enabled() else None
         if led is not None:
             t0 = _perf_counter()
+            # request validation is bookkeeping, not addressing
+            led.add_seconds("bookkeeping", t0 - t_in)
             gf0 = led.gf.as_dict()
         if op == "count":
             modules = self.module_ids_for(indices)

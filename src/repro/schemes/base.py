@@ -62,8 +62,9 @@ class KeyedCopyStore:
 class MemoryScheme(ABC):
     """Abstract memory-organization scheme over N modules and M variables.
 
-    Subclasses define :meth:`placement` plus the quorum attributes; the
-    base class supplies protocol-driven ``access``/``read``/``write``
+    Subclasses define :meth:`placement` plus the quorum attributes (and
+    may override :meth:`slots` / :meth:`placement_for`); the base class
+    supplies protocol-driven ``access``/``read``/``write``
     with exactly the machine model used for the paper's scheme.
     """
 
@@ -91,6 +92,15 @@ class MemoryScheme(ABC):
         return np.broadcast_to(
             np.asarray(indices, dtype=np.int64)[:, None], modules.shape
         )
+
+    def placement_for(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(modules, slots)``, both ``(V, r)``: the copies' modules and
+        physical slots in one call.  Default: :meth:`placement` then
+        :meth:`slots`; schemes whose two halves share work override."""
+        modules = self.placement(indices)
+        return modules, self.slots(indices, modules)
 
     def make_store(self) -> object:
         """A store suited to this scheme (sparse keyed by default)."""
@@ -138,19 +148,24 @@ class MemoryScheme(ABC):
         disjoint id namespace so the conformance checker never aliases
         two shards' variables.
         """
+        led = _obs.ledger() if _obs.enabled() else None
+        if led is not None:
+            t_in = _perf_counter()
         indices = np.asarray(indices, dtype=np.int64)
         if np.unique(indices).size != indices.size:
             raise ValueError("requests must address distinct variables")
-        led = _obs.ledger() if _obs.enabled() else None
         if led is not None:
             t0 = _perf_counter()
+            # request validation is bookkeeping, not addressing
+            led.add_seconds("bookkeeping", t0 - t_in)
             gf0 = led.gf.as_dict()
-        modules = self.placement(indices)
         quorum = self.quorum_for(count_as or op)
         slots = None
         engine_op = op
         if op in ("read", "write"):
-            slots = self.slots(indices, modules)
+            modules, slots = self.placement_for(indices)
+        else:
+            modules = self.placement(indices)
         if led is not None:
             led.note_addressing(int(indices.size), _perf_counter() - t0, gf0)
         return run_access_protocol(

@@ -40,6 +40,13 @@ class PPAdapter(MemoryScheme):
         mats = self.scheme.addressing.vunrank(np.asarray(indices, dtype=np.int64))
         return self.scheme._vslots(mats, modules)
 
+    def placement_for(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(modules, slots)`` with a single unrank per variable
+        (:meth:`~repro.core.scheme.PPScheme.placement_for`)."""
+        return self.scheme.placement_for(indices)
+
     def make_store(self) -> object:
         """Dense (N x q^{n-1}) timestamped store."""
         return self.scheme.make_store()

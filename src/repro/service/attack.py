@@ -115,8 +115,7 @@ def poison_stale_majority(
             stale = (fresh + 1) % (1 << 20)
             var_ids = 2 * slot[found] + 1
             scheme = st.scheme
-            modules = scheme.placement(var_ids)
-            phys = scheme.slots(var_ids, modules)
+            modules, phys = scheme.placement_for(var_ids)
             majority = scheme.quorum_for("read")
             ctx = FaultContext(
                 n_modules=scheme.N, module_ids=modules,

@@ -269,6 +269,21 @@ class TestPerfCli:
                      "--md-out", str(out)]) == 0
         assert "Performance trajectory" in out.read_text()
 
+    def test_record_missing_out_dir_fails_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.obs.perf as perf
+
+        def suite_must_not_run(*a, **kw):
+            raise AssertionError("quick suite ran before --out was checked")
+
+        monkeypatch.setattr(perf, "run_quick_suite", suite_must_not_run)
+        missing = tmp_path / "nope"
+        assert main(["perf", "record", "--out", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "not a directory" in err
+        assert not missing.exists()
+
     def test_record_quick_suite(self, tmp_path):
         assert main(["perf", "record", "--out", str(tmp_path),
                      "--repeats", "1"]) == 0

@@ -42,6 +42,13 @@ class TestBaseValidation:
         idx = sc.random_request_set(100)
         assert np.unique(idx).size == 100
 
+    def test_default_placement_for_is_placement_then_slots(self):
+        sc = SingleCopyScheme(16, 100)
+        idx = sc.random_request_set(10, seed=1)
+        mods, slots = sc.placement_for(idx)
+        assert np.array_equal(mods, sc.placement(idx))
+        assert np.array_equal(slots, sc.slots(idx, mods))
+
     def test_count_as_write(self):
         sc = SingleCopyScheme(16, 100)
         idx = sc.random_request_set(10, seed=1)
@@ -69,6 +76,9 @@ class TestPPAdapter:
         slots = pp.slots(idx, mods)
         _, want = pp.scheme.placement_for(idx)
         assert np.array_equal(slots, want)
+        got_mods, got_slots = pp.placement_for(idx)
+        assert np.array_equal(got_mods, mods)
+        assert np.array_equal(got_slots, slots)
 
     def test_semantics_through_adapter(self, pp):
         idx = pp.random_request_set(200, seed=2)

@@ -585,15 +585,32 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _check_out_dir(flag: str, path: str) -> None:
+    """Raise ``ValueError`` unless ``path`` is a writable directory.
+
+    Verbs that write after a long run call this first, so a bad output
+    path fails (exit 2) before any work is done, not after it.
+    """
+    if not os.path.isdir(path):
+        raise ValueError(f"{flag} {path!r} is not a directory")
+    if not os.access(path, os.W_OK):
+        raise ValueError(f"{flag} {path!r} is not writable")
+
+
+def _check_out_file(flag: str, path: str) -> None:
+    """Raise ``ValueError`` unless ``path`` can be written as a file."""
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path!r} is a directory")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise ValueError(f"{flag} {path!r} is not writable")
+    _check_out_dir(flag + " directory", os.path.dirname(path) or ".")
+
+
 def _perf_record(args) -> int:
     from repro import obs
     from repro.obs.perf import BenchRecorder, run_quick_suite
 
-    # fail before the suite runs, not after it
-    if not os.path.isdir(args.out):
-        raise ValueError(f"--out {args.out!r} is not a directory")
-    if not os.access(args.out, os.W_OK):
-        raise ValueError(f"--out {args.out!r} is not writable")
+    _check_out_dir("--out", args.out)
     rec = BenchRecorder(source="quick-suite")
     was_on = obs.metrics_enabled()
     obs.enable_metrics()
@@ -829,7 +846,6 @@ def _write_watch_json(
     import gzip
     import json
 
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, basename)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if compress:
@@ -850,6 +866,9 @@ _MAX_SAVED_SNAPSHOTS = 64
 
 def _watch_fuzz(args) -> int:
     from repro.conformance.streaming import stream_fuzz
+
+    if args.out != "-":
+        _check_out_dir("--out", args.out)
 
     def progress(snap: object) -> None:
         print(
@@ -919,6 +938,8 @@ def _watch_fuzz(args) -> int:
 def _watch_attack(args) -> int:
     from repro.conformance.streaming import run_watchdog_canary
 
+    if args.out != "-":
+        _check_out_dir("--out", args.out)
     result = run_watchdog_canary(
         seed=args.seed, n_victims=args.victims, window=args.window,
         engine=args.engine,
@@ -1107,6 +1128,10 @@ def _cmd_serve(args) -> int:
 def _cmd_load(args) -> int:
     from repro.service.loadgen import LoadConfig, run_load
 
+    if args.json_out:
+        _check_out_file("--json-out", args.json_out)
+    if args.bench_out:
+        _check_out_dir("--bench-out", args.bench_out)
     cfg = LoadConfig(
         clients=args.clients,
         ops_per_client=args.ops_per_client,

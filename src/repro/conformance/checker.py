@@ -181,7 +181,9 @@ class MemOpCore:
     variable's lifetime), the set of past written values with their last
     write round (prunable -- it only classifies stale vs phantom), and
     the post-lost-write taint set (cleared by the next successful
-    write).
+    write).  The entry count across all three is kept up to date as it
+    changes, and a round -> written-variables index tells :meth:`retire`
+    which variables can lose entries, so neither touches the rest.
     """
 
     def __init__(
@@ -197,32 +199,47 @@ class MemOpCore:
         self._cur: dict[int, tuple[int, int]] = {}  # var -> (round, value)
         self._past: dict[int, dict[int, int]] = {}  # var -> value -> round
         self._taint: dict[int, set[int]] = {}  # var -> acceptable values
+        self._entries = 0  # len(_cur) + entries of _past and _taint
+        self._written: dict[int, set[int]] = {}  # round -> vars to revisit
 
     def feed(self, o: MemOp) -> Violation | None:
         """Classify one operation; returns the violation, if any."""
         rep = self.report
         if o.op == "write":
             rep.writes_seen += 1
-            self._past.setdefault(o.var, {})[o.value] = o.round
+            var = o.var
+            vals = self._past.setdefault(var, {})
+            if o.value not in vals:
+                self._entries += 1
+            vals[o.value] = o.round
+            self._written.setdefault(o.round, set()).add(var)
+            have = self._cur.get(var)
             if o.lost:
                 # indeterminate: old winner and attempted value both
                 # acceptable until the next successful write
-                have = self._cur.get(o.var)
-                self._taint.setdefault(o.var, set()).update(
-                    {have[1] if have else -1, o.value}
-                )
+                taint = self._taint.setdefault(var, set())
+                before = len(taint)
+                taint.update({have[1] if have else -1, o.value})
+                self._entries += len(taint) - before
                 rep.lost_exempt += 1
                 return None
-            self._taint.pop(o.var, None)
-            have = self._cur.get(o.var)
-            if (
-                have is None
-                or o.round > have[0]
+            taint = self._taint.pop(var, None)
+            if taint is not None:
+                self._entries -= len(taint)
+            if have is None:
+                self._entries += 1
+                self._cur[var] = (o.round, o.value)
+            elif (
+                o.round > have[0]
                 # same-round arbitration: larger value wins, the
                 # protocol's (stamp << 32) | value packing order
                 or (o.round == have[0] and o.value > have[1])
             ):
-                self._cur[o.var] = (o.round, o.value)
+                self._cur[var] = (o.round, o.value)
+                # the old winner loses its retire exemption: revisit
+                # the variable once its winning round is behind the
+                # horizon (the bucket may have been popped already)
+                self._written.setdefault(have[0], set()).add(var)
             return None
         # -- read ----------------------------------------------------
         if o.lost:
@@ -259,14 +276,25 @@ class MemOpCore:
         correctness, not classification), so retiring only narrows the
         stale-vs-phantom distinction for reads that reach back further
         than the caller's window -- never the violation/no-violation
-        verdict itself.
+        verdict itself.  Only variables written (or displaced as winner)
+        in a round below ``horizon`` are visited, so the cost is
+        O(writes in the retired rounds), not O(variables).
         """
-        for var in list(self._past):
-            vals = self._past[var]
+        due = [r for r in self._written if r < horizon]
+        if not due:
+            return
+        visit: set[int] = set()
+        for r in due:
+            visit |= self._written.pop(r)
+        for var in visit:
+            vals = self._past.get(var)
+            if vals is None:
+                continue
             keep = {v: r for v, r in vals.items() if r >= horizon}
             winner = self._cur.get(var)
             if winner is not None and winner[1] not in keep:
                 keep[winner[1]] = winner[0]
+            self._entries -= len(vals) - len(keep)
             if keep:
                 self._past[var] = keep
             else:
@@ -275,11 +303,7 @@ class MemOpCore:
     @property
     def state_size(self) -> int:
         """Retained entries across all per-variable structures."""
-        return (
-            len(self._cur)
-            + sum(len(v) for v in self._past.values())
-            + sum(len(v) for v in self._taint.values())
-        )
+        return self._entries
 
     def _record(self, v: Violation) -> None:
         rep = self.report

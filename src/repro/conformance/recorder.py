@@ -33,6 +33,8 @@ __all__ = [
     "KvOp",
     "TraceRecorder",
     "record",
+    "mem_op_from_event",
+    "kv_op_from_event",
     "mem_ops_from_events",
     "kv_ops_from_events",
     "load_mem_ops",
@@ -83,41 +85,40 @@ class KvOp:
     seq: int
 
 
+def mem_op_from_event(e: dict) -> MemOp:
+    """One ``mem.op`` event as a :class:`MemOp` record."""
+    return MemOp(
+        op=e["op"],
+        var=int(e["var"]),
+        value=int(e["value"]),
+        round=int(e["round"]),
+        proc=int(e["proc"]),
+        phase=int(e.get("phase", 0)),
+        lost=bool(e.get("lost", False)),
+        seq=int(e["seq"]),
+    )
+
+
+def kv_op_from_event(e: dict) -> KvOp:
+    """One ``kv.op`` event as a :class:`KvOp` record."""
+    return KvOp(
+        op=e["op"],
+        key=str(e["key"]),
+        value=int(e["value"]),
+        round=int(e["round"]),
+        seq=int(e["seq"]),
+    )
+
+
 def mem_ops_from_events(events) -> list[MemOp]:
     """Project the ``mem.op`` events of a trace into :class:`MemOp`
     records (other events pass through untouched)."""
-    out: list[MemOp] = []
-    for e in events:
-        if e.get("name") != MEM_EVENT:
-            continue
-        out.append(
-            MemOp(
-                op=e["op"],
-                var=int(e["var"]),
-                value=int(e["value"]),
-                round=int(e["round"]),
-                proc=int(e["proc"]),
-                phase=int(e.get("phase", 0)),
-                lost=bool(e.get("lost", False)),
-                seq=int(e["seq"]),
-            )
-        )
-    return out
+    return [mem_op_from_event(e) for e in events if e.get("name") == MEM_EVENT]
 
 
 def kv_ops_from_events(events) -> list[KvOp]:
     """Project the ``kv.op`` events of a trace into :class:`KvOp` records."""
-    return [
-        KvOp(
-            op=e["op"],
-            key=str(e["key"]),
-            value=int(e["value"]),
-            round=int(e["round"]),
-            seq=int(e["seq"]),
-        )
-        for e in events
-        if e.get("name") == KV_EVENT
-    ]
+    return [kv_op_from_event(e) for e in events if e.get("name") == KV_EVENT]
 
 
 def load_mem_ops(path: str) -> list[MemOp]:

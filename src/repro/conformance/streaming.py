@@ -51,8 +51,8 @@ from repro.conformance.recorder import (
     MEM_EVENT,
     KvOp,
     MemOp,
-    kv_ops_from_events,
-    mem_ops_from_events,
+    kv_op_from_event,
+    mem_op_from_event,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import EventBus, HealthAggregator
@@ -112,6 +112,7 @@ class StreamingChecker:
         self._kv = KvOpCore(max_violations, on_violation=on_violation)
         self._pending: dict[int, list[MemOp]] = {}
         self._kv_pending: dict[int, list[KvOp]] = {}
+        self._buffered = 0  # ops across both pending maps
         self.high = -1  # highest round seen
         self.retired_through = -1  # rounds <= this are closed
         self.late_dropped = 0
@@ -125,9 +126,9 @@ class StreamingChecker:
         """Feed one bus/trace event (non-op events are ignored)."""
         name = event.get("name")
         if name == MEM_EVENT:
-            self.feed_mem(mem_ops_from_events((event,))[0])
+            self.feed_mem(mem_op_from_event(event))
         elif name == KV_EVENT:
-            self.feed_kv(kv_ops_from_events((event,))[0])
+            self.feed_kv(kv_op_from_event(event))
 
     def feed_mem(self, op: MemOp) -> None:
         """Buffer one memory operation and advance the window."""
@@ -136,6 +137,7 @@ class StreamingChecker:
             self.late_dropped += 1
             return
         self._pending.setdefault(op.round, []).append(op)
+        self._buffered += 1
         self._advance(op.round)
 
     def feed_kv(self, op: KvOp) -> None:
@@ -145,6 +147,7 @@ class StreamingChecker:
             self.late_dropped += 1
             return
         self._kv_pending.setdefault(op.round, []).append(op)
+        self._buffered += 1
         self._advance(op.round)
 
     def finish(self) -> ViolationReport:
@@ -179,11 +182,13 @@ class StreamingChecker:
     def _close_round(self, r: int) -> None:
         mem = self._pending.pop(r, None)
         if mem:
+            self._buffered -= len(mem)
             mem.sort(key=lambda o: (_OP_RANK[o.op], o.seq))
             for o in mem:
                 self._mem.feed(o)
         kv = self._kv_pending.pop(r, None)
         if kv:
+            self._buffered -= len(kv)
             kv.sort(key=lambda o: o.seq)
             for o in kv:
                 self._kv.feed(o)
@@ -216,9 +221,7 @@ class StreamingChecker:
     @property
     def buffered(self) -> int:
         """Operations waiting in still-open rounds."""
-        return sum(len(v) for v in self._pending.values()) + sum(
-            len(v) for v in self._kv_pending.values()
-        )
+        return self._buffered
 
     @property
     def lag_rounds(self) -> int:

@@ -8,8 +8,10 @@ from repro.conformance.recorder import (
     KV_EVENT,
     MEM_EVENT,
     TraceRecorder,
+    kv_op_from_event,
     load_kv_ops,
     load_mem_ops,
+    mem_op_from_event,
     record,
 )
 from repro.kvstore.store import ParallelKVStore
@@ -153,6 +155,20 @@ class TestJsonlRoundTrip:
         rec.write_jsonl(path)
         assert load_mem_ops(path) == rec.mem_ops()
         assert load_kv_ops(path) == rec.kv_ops()
+
+    def test_single_event_projection_matches_list(self):
+        idx = _SCH.random_request_set(4, seed=8)
+        store = _SCH.make_store()
+        kv = ParallelKVStore(PPAdapter(2, 3))
+        with record() as rec:
+            _SCH.write(idx, values=idx, store=store, time=1)
+            kv.batch_put(["k"], np.array([7]))
+        mem = [mem_op_from_event(e) for e in rec.events
+               if e["name"] == MEM_EVENT]
+        kvs = [kv_op_from_event(e) for e in rec.events
+               if e["name"] == KV_EVENT]
+        assert mem == rec.mem_ops() and len(mem) >= idx.size
+        assert kvs == rec.kv_ops() and len(kvs) == 1
 
     def test_interleaves_with_protocol_spans(self, tmp_path):
         idx = _SCH.random_request_set(4, seed=7)

@@ -8,10 +8,12 @@ it must flag the q/2+1 stale-majority attack while the run is still
 going.
 """
 
+import random
+
 import pytest
 
 from repro import obs
-from repro.conformance.checker import ConsistencyChecker
+from repro.conformance.checker import ConsistencyChecker, MemOpCore
 from repro.conformance.recorder import KvOp, MemOp, record
 from repro.conformance.streaming import (
     SCHEME_KEYS,
@@ -241,6 +243,139 @@ class TestBoundedMemory:
         assert sc.peak_state <= budget, (
             f"peak state {sc.peak_state} busts the window budget {budget}"
         )
+
+
+class ScanAllCore(MemOpCore):
+    """Oracle core: the from-scratch state accounting the incremental
+    counters replace -- a ``len()`` sum over every per-variable dict,
+    and a retire that rebuilds every variable's past-value dict."""
+
+    def retire(self, horizon):
+        for var in list(self._past):
+            vals = self._past[var]
+            keep = {v: r for v, r in vals.items() if r >= horizon}
+            winner = self._cur.get(var)
+            if winner is not None and winner[1] not in keep:
+                keep[winner[1]] = winner[0]
+            if keep:
+                self._past[var] = keep
+            else:
+                del self._past[var]
+
+    @property
+    def state_size(self):
+        return recount_core(self)
+
+
+def recount_core(core):
+    return (
+        len(core._cur)
+        + sum(len(v) for v in core._past.values())
+        + sum(len(v) for v in core._taint.values())
+    )
+
+
+def recount_buffered(sc):
+    return sum(len(v) for v in sc._pending.values()) + sum(
+        len(v) for v in sc._kv_pending.values()
+    )
+
+
+class ScanAllChecker(StreamingChecker):
+    """Oracle streaming checker: recounts its buffer and state on every
+    read, and records every size it notes for the peak."""
+
+    def __init__(self, window):
+        super().__init__(window=window)
+        self._mem = ScanAllCore()
+        self.noted = []
+
+    @property
+    def buffered(self):
+        return recount_buffered(self)
+
+    @property
+    def state_size(self):
+        return self.buffered + self._mem.state_size + self._kv.state_size
+
+    def _note_state(self):
+        self.noted.append(self.state_size)
+        super()._note_state()
+
+
+def random_stream(rng, n_ops, window):
+    """Seeded mem/kv ops with lost reads and writes, same-round writes,
+    repeated values, idle variables whose winner falls behind the
+    horizon before it is displaced, and late or reordered arrivals."""
+    n_vars = rng.randint(1, 10)
+    weights = [rng.random() ** 3 for _ in range(n_vars)]
+    head = 1
+    ops = []
+    for seq in range(1, n_ops + 1):
+        if rng.random() < 0.3:
+            head += rng.choice((1, 1, 1, 2, window + 1, 3 * window))
+        r = head
+        if rng.random() < 0.15:
+            r = max(1, head - rng.randint(1, window + 2))
+        if rng.random() < 0.1:
+            kind = rng.choice(("put", "put", "delete", "get"))
+            ops.append(KvOp(op=kind, key=rng.choice("abcd"),
+                            value=rng.randint(-1, 4), round=r, seq=seq))
+            continue
+        var = rng.choices(range(n_vars), weights)[0]
+        kind = "write" if rng.random() < 0.5 else "read"
+        ops.append(mem(kind, var, rng.randint(-1 if kind == "read" else 0, 6),
+                       r, proc=rng.randint(0, 3),
+                       lost=rng.random() < 0.15, seq=seq))
+    return ops
+
+
+class TestIncrementalState:
+    """The running entry and buffer counts, and the round-indexed retire,
+    against the from-scratch recount and the scan-all retire after every
+    event."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_scan_all_oracle_after_every_event(self, seed):
+        rng = random.Random(seed)
+        window = rng.randint(1, 5)
+        sc = StreamingChecker(window=window)
+        oracle = ScanAllChecker(window=window)
+        for o in random_stream(rng, 500, window):
+            for c in (sc, oracle):
+                (c.feed_kv if isinstance(o, KvOp) else c.feed_mem)(o)
+            assert sc._mem._past == oracle._mem._past
+            assert sc._mem.state_size == recount_core(sc._mem)
+            assert sc.buffered == recount_buffered(sc)
+            assert sc.state_size == oracle.state_size
+        assert sc.peak_state == oracle.peak_state == max(oracle.noted)
+        assert sc.peak_buffered == oracle.peak_buffered
+        assert sc.late_dropped == oracle.late_dropped
+        assert sc.finish().to_dict() == oracle.finish().to_dict()
+        assert sc._mem._past == oracle._mem._past
+        assert sc.state_size == oracle.state_size
+        assert sc.buffered == 0
+
+    def test_displaced_winner_behind_horizon_is_retired(self):
+        # var 1's winner is retired down to its exempt entry, then
+        # displaced by a write the next retire does not reach: that
+        # retire must still drop the old winner
+        sc = StreamingChecker(window=1)
+        oracle = ScanAllChecker(window=1)
+        ops = [
+            mem("write", 1, 5, 1, seq=1),
+            mem("write", 2, 0, 10, seq=2),  # retires round 1
+            mem("write", 1, 6, 20, seq=3),
+            # closes round 20, where (1, 6) displaces (1, 5), then
+            # retires the rounds below 20
+            mem("write", 2, 0, 21, seq=4),
+        ]
+        for o in ops:
+            sc.feed_mem(o)
+            oracle.feed_mem(o)
+            assert sc._mem._past == oracle._mem._past
+        assert sc._mem._past[1] == {6: 20}
+        assert sc.state_size == oracle.state_size
 
 
 class TestWatchdog:

@@ -81,6 +81,26 @@ class TestWatchFuzzCli:
         assert "lag" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb, runner", [
+    ("fuzz", "stream_fuzz"),
+    ("attack", "run_watchdog_canary"),
+])
+def test_missing_out_dir_fails_before_running(
+    verb, runner, tmp_path, capsys, monkeypatch
+):
+    import repro.conformance.streaming as streaming
+
+    def must_not_run(*a, **kw):
+        raise AssertionError(f"{runner} ran before --out was checked")
+
+    monkeypatch.setattr(streaming, runner, must_not_run)
+    missing = tmp_path / "nope"
+    assert main(["watch", verb, "--seed", "0", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "not a directory" in err
+    assert not missing.exists()
+
+
 class TestWatchAttackCli:
     def test_attack_detected_and_control_clean(self, capsys, tmp_path):
         assert main(["watch", "attack", "--seed", "0",

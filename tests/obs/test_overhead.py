@@ -11,14 +11,21 @@ and assert the total is below 5% of the batch's measured wall time.
 
 The margin in practice is ~1000x: tens of ~50ns guards against a
 ~20ms batch.
+
+The enabled path has its own budget: in served mode the streaming
+watchdog is on by default, so a closed-loop zipf fleet is timed with it
+on and off and the ratio is bounded (:class:`TestWatchdogOverhead`).
 """
 
+import statistics
 import time
 
 import pytest
 
 from repro import obs
 from repro.core.scheme import PPScheme
+from repro.service.batcher import ServiceConfig
+from repro.service.loadgen import LoadConfig, run_load
 
 
 @pytest.fixture(scope="module")
@@ -88,4 +95,42 @@ class TestOverheadBudget:
         assert all(
             v.get("value", 0) == 0 and v.get("count", 0) == 0
             for v in snap.values()
+        )
+
+
+#: hot zipf keys on the served fleet's 2 x PPAdapter(2, 5) table
+_FLEET = LoadConfig(
+    clients=1024, ops_per_client=2, keyspace=512, mix="zipf", zipf_s=1.2,
+    get_fraction=0.5, delete_fraction=0.02, seed=0,
+)
+#: enabled/disabled loop-wall bound: measured ~1.15 with the O(1)
+#: per-event watchdog, ~1.40 when every event re-summed the checker state
+#: (2-vCPU x86 host, median of 8 pairs)
+_WATCHDOG_RATIO_MAX = 1.30
+
+
+def _service(watchdog: bool) -> ServiceConfig:
+    return ServiceConfig(
+        n_shards=2, q=2, n=5, round_capacity=256, max_pending=1024,
+        watchdog=watchdog,
+    )
+
+
+class TestWatchdogOverhead:
+    def test_enabled_watchdog_under_budget(self):
+        # Each pair runs on and off back to back, alternating which goes
+        # first, so a host-speed swing hits both halves of a pair; the
+        # median pair ratio discards the pairs one straddles.
+        rep = run_load(_FLEET, _service(True))  # warm caches off the clock
+        assert rep.violations == 0 and rep.events_dropped == 0
+        ratios = []
+        for k in range(8):
+            order = (True, False) if k % 2 == 0 else (False, True)
+            wall = {w: run_load(_FLEET, _service(w)).elapsed for w in order}
+            ratios.append(wall[True] / wall[False])
+        ratio = statistics.median(ratios)
+        assert ratio < _WATCHDOG_RATIO_MAX, (
+            f"watchdog on/off wall ratio {ratio:.3f} exceeds "
+            f"{_WATCHDOG_RATIO_MAX} (pairs: "
+            + ", ".join(f"{r:.2f}" for r in ratios) + ")"
         )

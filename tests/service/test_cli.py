@@ -102,6 +102,24 @@ class TestLoad:
         assert "load.latency_p95" in rec["sections"]
         assert rec["scalars"]["load.clients"] == 30
 
+    @pytest.mark.parametrize("flag, target", [
+        ("--json-out", "nope/rep.json"),
+        ("--bench-out", "nope"),
+    ])
+    def test_bad_output_path_fails_before_running(
+        self, flag, target, tmp_path, capsys, monkeypatch
+    ):
+        import repro.service.loadgen as loadgen
+
+        def load_must_not_run(*a, **kw):
+            raise AssertionError(f"run_load ran before {flag} was checked")
+
+        monkeypatch.setattr(loadgen, "run_load", load_must_not_run)
+        assert main(["load", *_QN, flag, str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "not a directory" in err
+        assert not (tmp_path / "nope").exists()
+
     def test_engine_flag_accepted(self, capsys):
         assert main(
             ["load", *_QN, "--clients", "20", "--ops-per-client", "2",

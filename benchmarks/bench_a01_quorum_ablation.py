@@ -25,7 +25,7 @@ from repro.core.graph import MemoryGraph
 def run_experiment():
     s = PPScheme(2, 5)
     idx = s.random_request_set(1000, seed=0)
-    mods = s.module_ids_for(idx)
+    mods = s.placement(idx)
 
     g = MemoryGraph(2, 8)
     tight = tight_set_module_ids(g, 4)

@@ -24,7 +24,7 @@ def run_experiment():
     spreads = []
     s = PPScheme(2, 7)
     idx = s.random_request_set(8192, seed=1)
-    mods = s.module_ids_for(idx)
+    mods = s.placement(idx)
     g = MemoryGraph(2, 10)
     tight = tight_set_module_ids(g, 5)
     for name, m, N, kwargs in (

@@ -26,7 +26,7 @@ def run_experiment():
     )
     s = PPScheme(2, 7)
     idx = s.random_request_set(s.N, seed=4)
-    mods = s.module_ids_for(idx)
+    mods = s.placement(idx)
     g = MemoryGraph(2, 10)
     tight = tight_set_module_ids(g, 5)
     out = {}

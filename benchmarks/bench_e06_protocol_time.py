@@ -93,7 +93,7 @@ def test_e06_theorem6_shape(benchmark):
 
 def test_e06_full_load_n7_speed(benchmark, scheme_2_7):
     idx = scheme_2_7.random_request_set(scheme_2_7.N, seed=3)
-    mods = scheme_2_7.module_ids_for(idx)
+    mods = scheme_2_7.placement(idx)
     timed(
         benchmark, "kernels.protocol_full_n7",
         lambda: run_access_protocol(mods, scheme_2_7.N, scheme_2_7.majority),
@@ -114,7 +114,7 @@ def test_e06_engine_speedup(benchmark):
 
     s9 = PPScheme(2, 9)
     idx = s9.random_request_set(s9.N, seed=3)
-    mods = s9.module_ids_for(idx)
+    mods = s9.placement(idx)
     obs.disable_metrics()
     try:
         vec = timed(

@@ -35,7 +35,7 @@ def run_experiment():
     gsizes, giters = [], []
     for k in (8, 16, 32, 64, 128):
         block = grid.adversarial_block(k)
-        res = grid.access(block, op="count", collect_history=False)
+        res = grid.access(block, op="count")
         t1.add_row([k * k, res.total_iterations, round((k * k) ** 0.5, 1)])
         gsizes.append(k * k)
         giters.append(res.total_iterations)

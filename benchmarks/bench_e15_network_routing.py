@@ -33,7 +33,7 @@ def run_experiment():
         s = PPScheme(2, n)
         count = min(s.N, s.M, 2048)
         idx = s.random_request_set(count, seed=0)
-        mods = s.module_ids_for(idx)
+        mods = s.placement(idx)
         topo = HypercubeTopology.at_least(s.N)
         res = run_protocol_on_network(mods, s.N, s.majority, topo)
         log2n = float(np.log2(s.N))
@@ -47,7 +47,7 @@ def run_experiment():
 
     s5 = PPScheme(2, 5)
     idx = s5.random_request_set(512, seed=1)
-    mods = s5.module_ids_for(idx)
+    mods = s5.placement(idx)
     t2 = Table(
         ["topology", "degree", "diameter", "network rounds", "overhead"],
         title="E15b / topology comparison at N = 1023, 512 requests",

@@ -21,7 +21,7 @@ from repro.network import HypercubeTopology, TorusTopology, run_protocol_on_netw
 def main() -> None:
     s = PPScheme(q=2, n=5)
     idx = s.random_request_set(768, seed=3)
-    mods = s.module_ids_for(idx)
+    mods = s.placement(idx)
 
     ideal = run_access_protocol(mods, s.N, s.majority, n_phases=1)
     hyper = HypercubeTopology.at_least(s.N)

@@ -507,19 +507,19 @@ def _run_batch(args):
     """Build the scheme, generate the workload, and run one batch
     (shared by ``access`` and ``metrics``); returns (scheme, idx, result)
     or an int error code."""
-    s = PPScheme(args.q, args.n, arbitration=args.arbitration)
+    s = PPScheme(args.q, args.n)
     if args.count > min(s.M, s.N):
         print(
             f"error: count must be <= min(M, N) = {min(s.M, s.N)}", file=sys.stderr
         )
         return 2
     idx = _make_workload(s, args)
-    kwargs = {}
+    kwargs = {"arbitration": args.arbitration}
     if args.op in ("read", "write"):
         store = s.make_store()
         if args.op == "read":
-            s.write(idx, values=idx, store=store, time=1)
-        kwargs = {"store": store, "time": 2}
+            s.write(idx, values=idx, store=store, time=1, arbitration=args.arbitration)
+        kwargs.update(store=store, time=2)
         if args.op == "write":
             kwargs["values"] = idx
     return s, idx, s.access(idx, op=args.op, **kwargs)
@@ -629,6 +629,8 @@ def _perf_record(args) -> int:
 def _perf_report(args) -> int:
     from repro.obs.perf import Trajectory, render_report
 
+    if args.md_out != "-":
+        _check_out_file("--md-out", args.md_out)
     results_dir = os.path.join(args.dir, "benchmarks", "results")
     traj = Trajectory.load(
         args.dir,
@@ -637,7 +639,6 @@ def _perf_report(args) -> int:
     text = render_report(traj, window=args.window)
     print(text)
     if args.md_out != "-":
-        os.makedirs(os.path.dirname(args.md_out) or ".", exist_ok=True)
         with open(args.md_out, "w") as fh:
             fh.write(text)
         print(f"dashboard -> {args.md_out}", file=sys.stderr)
@@ -707,6 +708,8 @@ def _faults_campaign(args) -> int:
     from repro.faults.campaign import run_campaign, render_markdown, write_report
     from repro.faults.models import make_model
 
+    if args.out != "-":
+        _check_out_dir("--out", args.out)
     models = (
         [make_model(name) for name in args.models]
         if args.models is not None
@@ -758,6 +761,8 @@ def _conform_fuzz(args) -> int:
         write_report,
     )
 
+    if args.out != "-":
+        _check_out_dir("--out", args.out)
     result = run_fuzz(
         seed=args.seed,
         total_ops=args.ops,
@@ -1015,6 +1020,8 @@ def _cmd_lint(args) -> int:
 def _cmd_explain(args) -> int:
     from repro.obs.explain import run_explain, write_report
 
+    if args.out != "-":
+        _check_out_file("--out", args.out)
     res = run_explain(
         quick=args.quick,
         slack=args.slack,

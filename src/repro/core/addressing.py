@@ -49,7 +49,7 @@ from repro.gf.subfield import BasisDecomposition, FieldEmbedding
 from repro.core.graph import MemoryGraph
 from repro.pgl.matrix import Mat, pgl2_canon, pgl2_inv, pgl2_mul, vcanon, vmul
 
-__all__ = ["OpCounter", "AddressLayer", "batched_slots"]
+__all__ = ["OpCounter", "AddressLayer", "EnumeratedAddressing", "batched_slots"]
 
 
 def batched_slots(
@@ -721,3 +721,64 @@ class AddressLayer:
             f"AddressLayer(n={self.n}, M={self.M}, blocks="
             f"[{self.c1}, {self.c2}, {self.c3}, {self.c4}])"
         )
+
+
+class EnumeratedAddressing(AddressLayer):
+    """Table-based fallback indexing for parameters outside Section 4.
+
+    Enumerates every variable coset once (O(q^{3n}) preprocessing,
+    validation scale only) and answers unrank/rank by array/dict
+    lookup.  The Lemma-4 half (:meth:`slot_of`, :meth:`locate`,
+    :meth:`vslots`, :meth:`vlocate`) depends only on the graph and the
+    unranked matrices, so it is inherited from :class:`AddressLayer`
+    unchanged; the index bijections (``unrank``, ``rank``,
+    ``vunrank``, ``vrank``) are replaced by table lookups.
+    """
+
+    def __init__(self, graph: MemoryGraph):
+        if graph.M > 2_000_000:
+            raise ValueError(
+                f"enumerated addressing infeasible for M = {graph.M}; "
+                "use q = 2 with odd n for the O(log N) layer"
+            )
+        self.graph = graph
+        self.K = graph.F
+        self.M = graph.M
+        mats = graph.all_variable_matrices()
+        self._mats = mats
+        self._index = {graph.variables.key(m): i for i, m in enumerate(mats)}
+        self._arr = np.array(mats, dtype=np.int64)
+        self._h0_elements = graph.H0.elements()
+
+    def unrank(self, index: int) -> Mat:
+        """Canonical matrix of variable ``index`` (table lookup)."""
+        return self._mats[index]
+
+    def rank(self, m: Mat) -> int:
+        """Index of the coset of ``m`` (canonicalize + dict lookup)."""
+        return self._index[self.graph.variables.key(m)]
+
+    def vunrank(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized unrank via the enumeration table."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if _obs.enabled():
+            led = _obs.ledger()
+            if led is not None:
+                led.count("addr.table", int(indices.size))
+        rows = self._arr[indices]
+        return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
+
+    def vrank(
+        self, mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """Vectorized rank via the enumeration table."""
+        a, b, c, d = (np.asarray(x, dtype=np.int64).tolist() for x in mats)
+        return np.array(
+            [self.rank(m) for m in zip(a, b, c, d)], dtype=np.int64
+        )
+
+    def __repr__(self) -> str:
+        g = self.graph
+        return f"EnumeratedAddressing(q={g.q}, n={g.n}, M={self.M})"

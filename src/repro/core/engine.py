@@ -86,7 +86,6 @@ def run_phase_scalar(
     values: np.ndarray | None,
     out_values: np.ndarray | None,
     time: int,
-    collect_history: bool,
     max_iterations: int,
     dead_copy: np.ndarray | None = None,
     grey: np.ndarray | None = None,
@@ -107,7 +106,7 @@ def run_phase_scalar(
     """
     P = int(phase_vars.shape[0])
     copies = int(module_ids.shape[1])
-    history = [P] if collect_history else []
+    history = [P]
     if P == 0:
         return PhaseTrace(iterations=0, live_history=history)
 
@@ -207,8 +206,7 @@ def run_phase_scalar(
             for i in range(P):
                 if satisfied[i] and sat_local[i] < 0 and not lost[i]:
                     sat_local[i] = iterations
-        if collect_history:
-            history.append(sum(1 for i in range(P) if not satisfied[i]))
+        history.append(sum(1 for i in range(P) if not satisfied[i]))
 
     if op == "read":
         for i, v in enumerate(pv):

@@ -123,7 +123,6 @@ def run_access_protocol(
     time: int = 0,
     arbitration: str = "lowest",
     seed: int = 0,
-    collect_history: bool = True,
     max_iterations: int = 10_000_000,
     n_phases: int | None = None,
     failed_modules: np.ndarray | None = None,
@@ -158,8 +157,6 @@ def run_access_protocol(
         batches; reads break ties toward the larger stamp).
     arbitration, seed:
         Module arbitration policy (see :mod:`repro.mpc.arbitration`).
-    collect_history:
-        Record the live-variable trajectory R_k of every phase.
     n_phases:
         Override the phase count (default ``q + 1``, the paper's cluster
         structure).  ``n_phases=1`` stresses a single phase with all
@@ -323,7 +320,6 @@ def run_access_protocol(
                     values,
                     out_values,
                     time,
-                    collect_history,
                     max_iterations,
                     dead_copy,
                     grey,
@@ -563,7 +559,6 @@ def _run_phase(
     values: np.ndarray | None,
     out_values: np.ndarray | None,
     time: int,
-    collect_history: bool,
     max_iterations: int,
     dead_copy: np.ndarray | None = None,
     grey: np.ndarray | None = None,
@@ -583,7 +578,7 @@ def _run_phase(
     """
     P = phase_vars.shape[0]
     copies = module_ids.shape[1]
-    history = [P] if collect_history else []
+    history = [P]
     if P == 0:
         return PhaseTrace(iterations=0, live_history=history)
 
@@ -667,8 +662,7 @@ def _run_phase(
         if sat_local is not None:
             newly = satisfied & (sat_local < 0) & ~lost
             sat_local[newly] = iterations
-        if collect_history:
-            history.append(int(np.count_nonzero(~satisfied)))
+        history.append(int(np.count_nonzero(~satisfied)))
 
     if op == "read":
         read_vals = np.where(best_packed < 0, np.int64(-1), best_packed & 0xFFFFFFFF)

@@ -113,17 +113,7 @@ def verify_instance(
         ).astype(np.int64) % g.M
         idx = np.unique(idx)
     try:
-        mats2 = scheme.addressing.vunrank(idx)
-        if hasattr(scheme.addressing, "vrank"):
-            back = scheme.addressing.vrank(mats2)
-        else:
-            back = np.fromiter(
-                (
-                    scheme.addressing.rank(tuple(int(x[k]) for x in mats2))
-                    for k in range(idx.shape[0])
-                ),
-                dtype=np.int64,
-            )
+        back = scheme.addressing.vrank(scheme.addressing.vunrank(idx))
         rep.record(
             "addressing-roundtrip",
             bool(np.array_equal(back, idx)),

@@ -39,8 +39,7 @@ in practice well under 1%.
 |---|---|---|
 | ``scheme.builds`` | counter | :class:`~repro.core.scheme.PPScheme` constructions |
 | ``scheme.build_seconds`` | timer | wall time of scheme construction |
-| ``address.placement_calls`` | counter | vectorized address computations (unrank + Lemma 1/4) |
-| ``address.placement_seconds`` | timer | wall time of those computations |
+| ``address.placement_seconds`` | timer | wall time (and, as its count, the number) of vectorized address computations (unrank + Lemma 1/4) |
 | ``address.vunrank_seconds`` | timer | wall time inside the vectorized Section-4 unranking |
 | ``address.unranks`` | counter | scalar O(log N) unrank calls |
 | ``protocol.accesses{op=...}`` | counter | protocol batches run, labeled by op |

@@ -49,6 +49,7 @@ from repro.core.bounds import (
     Envelope,
     RunContext,
 )
+from repro.core.scheme import PPScheme
 from repro.obs.ledger import PHASE_KEYS, Ledger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import EventBus, HealthAggregator
@@ -86,9 +87,7 @@ def _sweep_sizes(m: int, fracs: tuple[float, ...]) -> list[int]:
 def _dlog_weight(scheme: object) -> int:
     """Steps one discrete log is charged (the paper's scheme pays
     ``n ~ log N`` per dlog; schemes that never touch GF(2^m) keep 1)."""
-    inner = getattr(scheme, "scheme", None)
-    n = getattr(inner, "n", None)
-    return int(n) if n else 1
+    return scheme.n if isinstance(scheme, PPScheme) else 1
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,17 @@ access times are directly comparable:
   a seeded random graph, majority-c reads *and* writes (the paper's PP
   scheme keeps this protocol but replaces the random graph with the
   constructive PGL2 graph);
-* :mod:`repro.schemes.pp_adapter` -- :class:`PPScheme` wrapped in the
-  same interface for the comparison harness.
+* :mod:`repro.schemes.pp_adapter` -- the paper's :class:`PPScheme`
+  (itself a :class:`MemoryScheme`) under the harness/benchmark name
+  :class:`PPAdapter`.
 """
+
+from __future__ import annotations
 
 from repro.schemes.base import MemoryScheme, KeyedCopyStore
 from repro.schemes.single_copy import SingleCopyScheme
 from repro.schemes.mehlhorn_vishkin import MehlhornVishkinScheme
 from repro.schemes.upfal_wigderson import UpfalWigdersonScheme
-from repro.schemes.pp_adapter import PPAdapter
 from repro.schemes.grid import GridScheme
 
 __all__ = [
@@ -34,3 +36,13 @@ __all__ = [
     "PPAdapter",
     "GridScheme",
 ]
+
+
+def __getattr__(name: str) -> type:
+    # PPAdapter -> repro.core.scheme -> repro.schemes.base: resolved on
+    # first use so that either package can be imported first.
+    if name == "PPAdapter":
+        from repro.schemes.pp_adapter import PPAdapter
+
+        return PPAdapter
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -64,8 +64,9 @@ class MemoryScheme(ABC):
 
     Subclasses define :meth:`placement` plus the quorum attributes (and
     may override :meth:`slots` / :meth:`placement_for`); the base class
-    supplies protocol-driven ``access``/``read``/``write``
-    with exactly the machine model used for the paper's scheme.
+    supplies the one protocol-driven ``access``/``read``/``write``,
+    shared by the paper's scheme (:class:`~repro.core.scheme.PPScheme`)
+    and every baseline, so all run under the same machine model.
     """
 
     #: number of memory modules
@@ -124,7 +125,6 @@ class MemoryScheme(ABC):
         time: int = 0,
         arbitration: str = "lowest",
         seed: int = 0,
-        collect_history: bool = False,
         count_as: str | None = None,
         failed_modules: np.ndarray | None = None,
         allow_partial: bool = False,
@@ -161,7 +161,6 @@ class MemoryScheme(ABC):
             gf0 = led.gf.as_dict()
         quorum = self.quorum_for(count_as or op)
         slots = None
-        engine_op = op
         if op in ("read", "write"):
             modules, slots = self.placement_for(indices)
         else:
@@ -172,14 +171,13 @@ class MemoryScheme(ABC):
             modules,
             self.N,
             quorum,
-            op=engine_op,
+            op=op,
             slots=slots,
             store=store,
             values=values,
             time=time,
             arbitration=arbitration,
             seed=seed,
-            collect_history=collect_history,
             failed_modules=failed_modules,
             allow_partial=allow_partial,
             grey_modules=grey_modules,
@@ -206,10 +204,24 @@ class MemoryScheme(ABC):
         return self.access(indices, op="write", store=store, values=values, time=time, **kw)
 
     def random_request_set(self, count: int, seed: int = 0) -> np.ndarray:
-        """``count`` distinct variable indices, uniform, seeded."""
+        """``count`` distinct variable indices, uniform, seeded.
+
+        Scales to the billion-variable instances (PPScheme at n = 11):
+        when M is huge, rejection sampling replaces the
+        permutation/choice path (whose memory is Theta(M)).
+        """
         if count > self.M:
-            raise ValueError(f"cannot request {count} distinct of {self.M}")
+            raise ValueError(f"cannot request {count} distinct of {self.M} variables")
         rng = np.random.default_rng(seed)
+        if self.M > 50_000_000:
+            chunks: list[np.ndarray] = []
+            have = 0
+            while have < count:
+                raw = rng.integers(0, self.M, int(1.2 * (count - have)) + 16)
+                chunks.append(raw)
+                have = np.unique(np.concatenate(chunks)).size
+            out = np.unique(np.concatenate(chunks))[:count]
+            return rng.permutation(out).astype(np.int64)
         if count * 4 >= self.M:
             return rng.permutation(self.M)[:count].astype(np.int64)
         return rng.choice(self.M, size=count, replace=False).astype(np.int64)

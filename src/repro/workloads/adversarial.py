@@ -91,7 +91,6 @@ def concentrated_set_for(scheme, count: int, **kw) -> tuple[np.ndarray, int]:
     """
     from repro.schemes.mehlhorn_vishkin import MehlhornVishkinScheme
     from repro.schemes.single_copy import SingleCopyScheme
-    from repro.schemes.pp_adapter import PPAdapter
 
     if isinstance(scheme, SingleCopyScheme):
         idx = scheme.adversarial_request_set(count, **kw)
@@ -107,10 +106,9 @@ def concentrated_set_for(scheme, count: int, **kw) -> tuple[np.ndarray, int]:
             beta += 1
             if beta > scheme.P:  # pragma: no cover
                 raise ValueError("cannot build concentrated set")
-    if isinstance(scheme, PPAdapter):
-        inner = scheme.scheme
-        idx = pp_module_neighborhood_set(inner, count)
-        mods = np.unique(inner.module_ids_for(idx))
+    if isinstance(scheme, PPScheme):
+        idx = pp_module_neighborhood_set(scheme, count)
+        mods = np.unique(scheme.placement(idx))
         return idx, int(mods.size)
     from repro.schemes.upfal_wigderson import UpfalWigdersonScheme
 

@@ -108,7 +108,7 @@ def replay_trace(scheme, trace: list[np.ndarray]) -> TraceReplay:
         total_raw += batch.size
         distinct = np.unique(batch)
         total_distinct += distinct.size
-        res = scheme.access(distinct, op="count", collect_history=False)
+        res = scheme.access(distinct, op="count")
         per_batch.append(res.total_iterations)
         total_iters += res.total_iterations
     return TraceReplay(

@@ -45,6 +45,21 @@ class TestConformFuzz:
                      "--out", "-"]) == 0
         assert not (tmp_path / "benchmarks").exists()
 
+    def test_missing_out_dir_fails_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.conformance.differential as differential
+
+        def must_not_run(*a, **kw):
+            raise AssertionError("fuzz ran before --out was checked")
+
+        monkeypatch.setattr(differential, "run_fuzz", must_not_run)
+        missing = tmp_path / "nope"
+        assert main(["conform", "fuzz", "--out", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "not a directory" in err
+        assert not missing.exists()
+
 
 class TestConformCheck:
     def _write_trace(self, tmp_path, corrupt=False):

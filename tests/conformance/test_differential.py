@@ -30,7 +30,7 @@ class TestSchemeSet:
         assert len({(s.name, s.N, s.M) for s in schemes}) == 6
 
     def test_covers_both_pp_instances(self):
-        qs = {s.scheme.q for s in conformance_schemes()
+        qs = {s.q for s in conformance_schemes()
               if isinstance(s, PPAdapter)}
         assert qs == {2, 4}
 

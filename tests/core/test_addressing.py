@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.core.addressing import AddressLayer, OpCounter, batched_slots
+from repro.core.addressing import (
+    AddressLayer,
+    EnumeratedAddressing,
+    OpCounter,
+    batched_slots,
+)
 from repro.core.graph import MemoryGraph
-from repro.core.scheme import EnumeratedAddressing, PPScheme
+from repro.core.scheme import PPScheme
 from repro.obs.ledger import Ledger
 from repro.pgl.matrix import pgl2_mul, vcanon, vmul
 from repro.schemes.pp_adapter import PPAdapter

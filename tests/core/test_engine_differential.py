@@ -134,7 +134,7 @@ def test_workload_parity_under_fault_plan(key):
 @pytest.mark.parametrize("arbitration", ["lowest", "random", "rotating"])
 def test_arbitration_parity(scheme_2_3, arbitration):
     idx = scheme_2_3.random_request_set(40, seed=5)
-    common = dict(arbitration=arbitration, seed=17, collect_history=True)
+    common = dict(arbitration=arbitration, seed=17)
     res_v = scheme_2_3.access(idx, op="count", engine="vector", **common)
     res_s = scheme_2_3.access(idx, op="count", engine="scalar", **common)
     _assert_results_equal(res_v, res_s)
@@ -167,7 +167,6 @@ def test_failed_modules_allow_partial_parity(scheme_2_3):
     kw = dict(
         failed_modules=np.array([0, 5, 9], dtype=np.int64),
         allow_partial=True,
-        collect_history=True,
     )
     res_v = scheme_2_3.access(idx, op="count", engine="vector", **kw)
     res_s = scheme_2_3.access(idx, op="count", engine="scalar", **kw)
@@ -184,7 +183,6 @@ def test_retry_limit_lost_variables_parity(scheme_2_3):
     idx = scheme_2_3.random_request_set(30, seed=3)
     kw = dict(
         grey_modules=grey, retry_limit=3, allow_partial=True,
-        collect_history=True,
     )
     res_v = scheme_2_3.access(idx, op="count", engine="vector", **kw)
     res_s = scheme_2_3.access(idx, op="count", engine="scalar", **kw)
@@ -231,7 +229,7 @@ def test_raw_protocol_parity_shared_modules():
     module_ids = rng.integers(0, 8, size=(25, 5)).astype(np.int64)
     out = [
         run_access_protocol(
-            module_ids, 8, 3, op="count", collect_history=True,
+            module_ids, 8, 3, op="count",
             arbitration="random", seed=7, engine=engine,
         )
         for engine in ENGINES

@@ -131,10 +131,11 @@ class TestHistories:
             assert hist[-1] == 0
             assert p.iterations == len(hist) - 1
 
-    def test_history_disabled(self):
+    def test_history_always_recorded(self):
         mods = manual_modules([[0, 1, 2]])
-        res = run_access_protocol(mods, 5, 2, collect_history=False)
-        assert res.phases[0].live_history == [] or res.phases[0].iterations >= 0
+        for engine in ("vector", "scalar"):
+            res = run_access_protocol(mods, 5, 2, engine=engine)
+            assert [p.live_history for p in res.phases] == [[1, 0], [0], [0]]
 
 
 class TestReadWrite:

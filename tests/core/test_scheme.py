@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.scheme import EnumeratedAddressing, PPScheme
+from repro.core.addressing import EnumeratedAddressing
+from repro.core.scheme import PPScheme
 
 
 class TestConstruction:
@@ -25,7 +26,7 @@ class TestConstruction:
 class TestPlacement:
     def test_module_ids_shape(self, scheme_2_5):
         idx = scheme_2_5.random_request_set(100, seed=0)
-        mods = scheme_2_5.module_ids_for(idx)
+        mods = scheme_2_5.placement(idx)
         assert mods.shape == (100, 3)
         assert mods.min() >= 0 and mods.max() < scheme_2_5.N
 

@@ -143,3 +143,30 @@ class TestPackageSurface:
 
         with pytest.raises(AttributeError, match="mixer"):
             F.mixer
+
+
+class TestCampaignCliOut:
+    def test_missing_out_dir_fails_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.faults.campaign as campaign
+        from repro.cli import main
+
+        def must_not_run(*a, **kw):
+            raise AssertionError("campaign ran before --out was checked")
+
+        monkeypatch.setattr(campaign, "run_campaign", must_not_run)
+        missing = tmp_path / "nope"
+        assert main(["faults", "campaign", "--out", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "not a directory" in err
+        assert not missing.exists()
+
+    def test_dash_skips_writing(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["faults", "campaign", "--qs", "2", "--intensities",
+                     "0.1", "--victims", "3", "--requests", "80",
+                     "--out", "-"]) == 0
+        assert list(tmp_path.iterdir()) == []

@@ -28,12 +28,9 @@ def _run(sch, op, **kw):
         sch.write(idx, values=idx + 1, store=store, time=1)
     if op == "write":
         return sch.access(
-            idx, op=op, store=store, values=idx + 2, time=2,
-            collect_history=True, **kw,
+            idx, op=op, store=store, values=idx + 2, time=2, **kw
         )
-    return sch.access(
-        idx, op=op, store=store, time=2, collect_history=True, **kw
-    )
+    return sch.access(idx, op=op, store=store, time=2, **kw)
 
 
 def _assert_identical(a, b):

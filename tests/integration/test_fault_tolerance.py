@@ -95,7 +95,7 @@ class TestSchemeLevel:
         res = scheme.access(
             idx, op="count", failed_modules=failed, allow_partial=True
         )
-        mods = scheme.module_ids_for(idx)
+        mods = scheme.placement(idx)
         failed_mask = np.zeros(scheme.N, dtype=bool)
         failed_mask[failed] = True
         doomed = (failed_mask[mods].sum(axis=1) >= 2).nonzero()[0]
@@ -108,7 +108,7 @@ class TestSchemeLevel:
         idx = s.random_request_set(100, seed=5)
         store = s.make_store()
         s.write(idx, values=idx, store=store, time=1)
-        mods = s.module_ids_for(idx)
+        mods = s.placement(idx)
         # fail the modules of the first two copies of variable 0
         failed = mods[0, :2]
         res = s.read(idx, store=store, time=2, failed_modules=failed)

@@ -33,7 +33,7 @@ class TestGoldenAddresses:
         assert a.unrank(5455) == (24, 7, 13, 1)
 
     def test_module_rows(self, scheme_2_5):
-        mods = scheme_2_5.module_ids_for(np.array([0, 1, 2]))
+        mods = scheme_2_5.placement(np.array([0, 1, 2]))
         assert mods.tolist() == [[1, 0, 2], [463, 462, 492], [925, 924, 947]]
 
     def test_seeded_request_set(self, scheme_2_5):

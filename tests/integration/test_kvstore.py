@@ -143,7 +143,7 @@ class TestFaultToleranceComposition:
         fps = kv._fingerprint(keys)
         found, slot, _ = kv._probe(fps)
         assert found.all()
-        res = kv.scheme.scheme.read(
+        res = kv.scheme.read(
             np.unique(2 * slot + 1), store=kv.store, time=10_000,
             failed_modules=np.array([3]),
         )

@@ -181,7 +181,7 @@ class TestRandomizedRouting:
 class TestProtocolOnNetwork:
     def test_runs_and_charges_overhead(self, scheme_2_5):
         idx = scheme_2_5.random_request_set(200, seed=0)
-        mods = scheme_2_5.module_ids_for(idx)
+        mods = scheme_2_5.placement(idx)
         topo = HypercubeTopology.at_least(scheme_2_5.N)
         res = run_protocol_on_network(mods, scheme_2_5.N, 2, topo)
         assert res.mpc_iterations >= 1
@@ -195,7 +195,7 @@ class TestProtocolOnNetwork:
         from repro.core.protocol import run_access_protocol
 
         idx = scheme_2_5.random_request_set(300, seed=1)
-        mods = scheme_2_5.module_ids_for(idx)
+        mods = scheme_2_5.placement(idx)
         topo = HypercubeTopology.at_least(scheme_2_5.N)
         net = run_protocol_on_network(mods, scheme_2_5.N, 2, topo)
         mpc = run_access_protocol(mods, scheme_2_5.N, 2, n_phases=1)
@@ -210,7 +210,7 @@ class TestProtocolOnNetwork:
         # a torus (diameter ~ sqrt N) must cost more than a hypercube
         # (diameter log N) on the same traffic
         idx = scheme_2_5.random_request_set(150, seed=2)
-        mods = scheme_2_5.module_ids_for(idx)
+        mods = scheme_2_5.placement(idx)
         hyper = HypercubeTopology.at_least(scheme_2_5.N)
         torus = TorusTopology.at_least(scheme_2_5.N)
         rh = run_protocol_on_network(mods, scheme_2_5.N, 2, hyper)

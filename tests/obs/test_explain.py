@@ -3,7 +3,9 @@
 import pytest
 
 from repro import obs
+from repro.core.scheme import PPScheme
 from repro.obs.explain import (
+    _dlog_weight,
     _sweep_sizes,
     render_markdown,
     run_explain,
@@ -23,6 +25,16 @@ class TestSweepSizes:
 
     def test_floor_and_dedup(self):
         assert _sweep_sizes(16, (0.125, 0.25)) == [4]
+
+
+class TestDlogWeight:
+    def test_pp_scheme_pays_n_per_dlog(self):
+        assert _dlog_weight(PPScheme(2, 5)) == 5
+
+    def test_baseline_pays_one(self):
+        from repro.schemes.single_copy import SingleCopyScheme
+
+        assert _dlog_weight(SingleCopyScheme(16, 100)) == 1
 
 
 class TestRunExplain:
@@ -92,6 +104,22 @@ class TestCLI:
         assert rc == 0
         assert out.exists()
         assert "0 check violation(s), attack flagged" in capsys.readouterr().out
+
+    def test_missing_out_dir_fails_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.obs.explain as explain
+        from repro.cli import main
+
+        def must_not_run(*a, **kw):
+            raise AssertionError("explain ran before --out was checked")
+
+        monkeypatch.setattr(explain, "run_explain", must_not_run)
+        missing = tmp_path / "nope"
+        assert main(["explain", "--out", str(missing / "report.md")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "not a directory" in err
+        assert not missing.exists()
 
     def test_coverage_floor_enforced(self, tmp_path):
         from repro.cli import main

@@ -269,6 +269,28 @@ class TestPerfCli:
                      "--md-out", str(out)]) == 0
         assert "Performance trajectory" in out.read_text()
 
+    def test_report_missing_md_dir_fails_before_loading(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.obs.perf as perf
+
+        def must_not_run(*a, **kw):
+            raise AssertionError("trajectory loaded before --md-out was checked")
+
+        monkeypatch.setattr(perf.Trajectory, "load", must_not_run)
+        missing = tmp_path / "nope"
+        assert main(["perf", "report", "--dir", str(tmp_path),
+                     "--md-out", str(missing / "dash.md")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "not a directory" in err
+        assert not missing.exists()
+
+    def test_report_dash_skips_writing(self, tmp_path, capsys):
+        make_record(tmp_path, "20260805T120000Z", {"a": [1.0]})
+        assert main(["perf", "report", "--dir", str(tmp_path),
+                     "--md-out", "-"]) == 0
+        assert "dashboard ->" not in capsys.readouterr().err
+
     def test_record_missing_out_dir_fails_before_running(
         self, tmp_path, capsys, monkeypatch
     ):

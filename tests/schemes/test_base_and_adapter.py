@@ -66,19 +66,18 @@ class TestPPAdapter:
         assert pp.copies_per_variable == 3
         assert pp.read_quorum == pp.write_quorum == 2
 
-    def test_placement_matches_inner(self, pp):
+    def test_placement_for_is_placement_then_slots(self, pp):
         idx = pp.random_request_set(100, seed=0)
-        assert np.array_equal(pp.placement(idx), pp.scheme.module_ids_for(idx))
+        mods, slots = pp.placement_for(idx)
+        assert np.array_equal(mods, pp.placement(idx))
+        assert np.array_equal(slots, pp.slots(idx, mods))
 
-    def test_slots_match_inner(self, pp):
+    def test_slots_are_the_located_cells(self, pp):
         idx = pp.random_request_set(50, seed=1)
         mods = pp.placement(idx)
         slots = pp.slots(idx, mods)
-        _, want = pp.scheme.placement_for(idx)
-        assert np.array_equal(slots, want)
-        got_mods, got_slots = pp.placement_for(idx)
-        assert np.array_equal(got_mods, mods)
-        assert np.array_equal(got_slots, slots)
+        for i, v in enumerate(idx.tolist()):
+            assert pp.locate(v) == list(zip(mods[i].tolist(), slots[i].tolist()))
 
     def test_semantics_through_adapter(self, pp):
         idx = pp.random_request_set(200, seed=2)

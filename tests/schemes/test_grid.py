@@ -87,7 +87,7 @@ class TestAdversary:
         sizes, iters = [], []
         for k in (8, 16, 32, 64):
             block = grid.adversarial_block(k)
-            res = grid.access(block, op="count", collect_history=False)
+            res = grid.access(block, op="count")
             sizes.append(k * k)
             iters.append(res.total_iterations)
         alpha, _ = fit_power_law(sizes, iters)

@@ -22,7 +22,7 @@ class TestNeighborhoodSet:
     def test_distinct_and_congesting(self, scheme_2_5):
         idx = pp_module_neighborhood_set(scheme_2_5, 16, seed_modules=[0])
         assert np.unique(idx).size == 16
-        mods = scheme_2_5.module_ids_for(idx)
+        mods = scheme_2_5.placement(idx)
         # all 16 variables have one copy in module 0
         assert (mods == 0).any(axis=1).all()
 
